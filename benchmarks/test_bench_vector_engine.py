@@ -40,11 +40,13 @@ def vector_sweep(n: int, replicates: int, max_steps: int) -> SweepSpec:
     )
 
 
-def test_replicate_group_records_match_serial():
-    """Smoke (default suite): a kernel-path group is record-identical to serial."""
+def test_replicate_group_records_match_serial(reference_record):
+    """Smoke (default suite): a kernel-path group is record-identical to serial
+    ``run_circles`` runs (the independent reference; ``execute_run`` itself
+    runs an eligible spec as a group of one)."""
     specs = vector_sweep(4096, 3, 20_000).expand()
     grouped = execute_replicate_group(specs)
-    assert grouped == [execute_run(spec) for spec in specs]
+    assert grouped == [reference_record(spec) for spec in specs]
     assert len({record.seed for record in grouped}) == len(specs)
 
 

@@ -15,6 +15,13 @@ Markers
 * ``perf`` — wall-clock performance comparisons with timing assertions.
   These are skipped unless ``--perf`` is passed, so an otherwise-loaded
   machine cannot flake the default suite: ``pytest --perf benchmarks/``.
+
+Fixtures
+--------
+
+* ``reference_record`` — ``spec -> RunRecord`` through ``run_circles`` /
+  ``run_protocol`` directly, the independent reference the executor's spec
+  pipeline is checked against.
 """
 
 import sys
@@ -57,3 +64,38 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.bench)
         if not run_perf and "perf" in item.keywords:
             item.add_marker(skip_perf)
+
+
+def _reference_record(spec):
+    """Execute a ``"protocol"``-runner spec through the public run API.
+
+    Written out here rather than borrowed from :mod:`repro.api.executor`, so
+    identity tests compare the executor's pipeline with an independent
+    resolution of the same spec.  Covers the specs the lockstep path
+    takes: no scheduler, no observers.
+    """
+    from repro.api.executor import build_criterion, resolve_workload
+    from repro.api.records import RunRecord
+    from repro.protocols.registry import get_protocol
+    from repro.simulation.runner import run_circles, run_protocol
+
+    assert spec.runner == "protocol" and spec.scheduler is None and not spec.observers
+    colors = resolve_workload(spec)
+    common = dict(
+        max_steps=spec.max_steps, seed=spec.seed, engine=spec.engine, compiled=spec.compiled
+    )
+    if spec.protocol == "circles" and spec.criterion is None:
+        result = run_circles(
+            colors, num_colors=spec.k, variant=spec.protocol_params.get("variant"), **common
+        )
+    else:
+        protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
+        criterion = build_criterion(spec.criterion) if spec.criterion is not None else None
+        result = run_protocol(protocol, colors, criterion=criterion, **common)
+    return RunRecord.from_result(spec, result)
+
+
+@pytest.fixture(scope="session")
+def reference_record():
+    """``spec -> RunRecord`` via ``run_circles`` / ``run_protocol``."""
+    return _reference_record

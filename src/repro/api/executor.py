@@ -10,11 +10,9 @@ here, through registries:
   why scheduler construction is a registry of *builders* rather than bare
   classes;
 * **runners** — named run strategies.  The default ``"protocol"`` runner
-  resolves the protocol registry and dispatches to
-  :func:`~repro.simulation.runner.run_circles` /
-  :func:`~repro.simulation.runner.run_protocol`; experiments with bespoke
-  instrumentation (e.g. E2's per-exchange potential check) register their own
-  runner so they stay spec-drivable.
+  resolves the protocol registry; experiments with bespoke instrumentation
+  (e.g. E2's per-exchange potential check) register their own runner so
+  they stay spec-drivable.
 
 :func:`execute_run` is a module-level function of the spec alone — no shared
 state, no ambient RNG — which is what makes the multiprocessing executor's
@@ -24,22 +22,25 @@ results identical to the serial executor's, record for record.
 function of a *list* of specs that are identical up to the run seed (a
 "replicate group", the shape :meth:`SweepSpec.expand` produces for
 ``trials > 1``).  It routes the whole group through the vector engine's
-lockstep driver (:mod:`repro.simulation.vector_engine`) and assembles the
-same :class:`RunRecord` per row that :func:`execute_run` would have
-produced — bit-identical seeds, bit-identical trajectories — so the sweep
-runner can swap it in transparently whenever a group is eligible.
+lockstep path (:mod:`repro.simulation.vector_engine`) and assembles one
+:class:`RunRecord` per row from the row's final configuration.
+
+There is one spec pipeline: ``_plan`` decides a spec's protocol, colors,
+criterion, Circles metrics and budget, and the ``"protocol"`` runner runs
+every spec the lockstep path can reproduce as a replicate group of one,
+handing the rest to the engine loop of :mod:`repro.simulation.runner`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
 
 from repro.api import aggregate as _aggregate
 from repro.api.records import RunRecord, SweepResult
 from repro.api.spec import RunSpec, SweepCell, SweepSpec, canonical_json, derive_seed
 from repro.api.stopping import StopDecision, StoppingRule
-from repro.core.circles import CirclesProtocol
 from repro.core.potential import configuration_energy, state_weights
 from repro.protocols.base import PopulationProtocol
 from repro.protocols.registry import get_protocol
@@ -54,13 +55,9 @@ from repro.simulation.convergence import (
     SilentConfiguration,
     StableCircles,
 )
+from repro.simulation.engine import AgentSimulation
 from repro.simulation.registry import ENGINES
-from repro.simulation.runner import (
-    _true_majority,
-    default_max_steps,
-    run_circles,
-    run_protocol,
-)
+from repro.simulation.runner import _run_engine, _true_majority, default_max_steps
 from repro.simulation.vector_engine import ReplicateOutcome, VectorReplicateSimulation
 from repro.utils.errors import unknown_name_error
 from repro.workloads.registry import DEFAULT_WORKLOADS
@@ -184,10 +181,53 @@ def resolve_workload(spec: RunSpec) -> list[int]:
     )
 
 
-def _protocol_runner(spec: RunSpec) -> RunRecord:
-    """The default strategy: registry protocol + ``run_protocol``/``run_circles``."""
+@dataclass(frozen=True)
+class _RunPlan:
+    """What a ``"protocol"``-runner spec resolves to before any engine runs."""
+
+    protocol: PopulationProtocol
+    colors: list[int]
+    criterion: ConvergenceCriterion
+    #: Count the quantities of the paper's proof: ket exchanges and the
+    #: initial/final configuration energies (Theorem 3.4).
+    circles_metrics: bool
+    budget: int
+
+
+def _plan(spec: RunSpec) -> _RunPlan:
+    """Resolve a spec's protocol, inputs, criterion, metrics and budget.
+
+    The one place the Circles defaults are decided: a Circles spec without a
+    criterion stops on :class:`StableCircles` and counts the Circles
+    metrics; every other spec stops on its named criterion, or
+    :class:`OutputConsensus` when it names none.
+    """
     colors = resolve_workload(spec)
     protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
+    circles_metrics = spec.protocol == "circles" and spec.criterion is None
+    criterion = (
+        StableCircles()
+        if circles_metrics
+        else build_criterion(spec.criterion or OutputConsensus.name)
+    )
+    budget = (
+        spec.max_steps
+        if spec.max_steps is not None
+        else default_max_steps(len(colors), protocol.num_colors)
+    )
+    return _RunPlan(protocol, colors, criterion, circles_metrics, budget)
+
+
+def _protocol_runner(spec: RunSpec) -> RunRecord:
+    """The default strategy: a registry protocol on the spec's workload.
+
+    A spec the lockstep path can reproduce runs as a replicate group of
+    one; the rest (other engines, schedulers, observers, unseeded specs) go
+    through the engine loop of :mod:`repro.simulation.runner`.
+    """
+    if _replicate_groupable(spec):
+        return execute_replicate_group([spec])[0]
+    plan = _plan(spec)
     scheduler = None
     if spec.scheduler is not None:
         scheduler_seed = None if spec.seed is None else derive_seed(spec.seed, "scheduler")
@@ -195,34 +235,21 @@ def _protocol_runner(spec: RunSpec) -> RunRecord:
             spec.scheduler,
             spec.n,
             seed=scheduler_seed,
-            protocol=protocol,
+            protocol=plan.protocol,
             **dict(spec.scheduler_params),
         )
-    if spec.protocol == "circles" and spec.criterion is None:
-        result = run_circles(
-            colors,
-            num_colors=spec.k,
-            scheduler=scheduler,
-            max_steps=spec.max_steps,
-            seed=spec.seed,
-            engine=spec.engine,
-            compiled=spec.compiled,
-            observers=spec.observers,
-            **{key: value for key, value in spec.protocol_params.items() if key == "variant"},
-        )
-    else:
-        criterion = build_criterion(spec.criterion) if spec.criterion is not None else None
-        result = run_protocol(
-            protocol,
-            colors,
-            scheduler=scheduler,
-            criterion=criterion,
-            max_steps=spec.max_steps,
-            seed=spec.seed,
-            engine=spec.engine,
-            compiled=spec.compiled,
-            observers=spec.observers,
-        )
+    result = _run_engine(
+        plan.protocol,
+        plan.colors,
+        plan.criterion,
+        circles_metrics=plan.circles_metrics,
+        scheduler=scheduler,
+        max_steps=plan.budget,
+        seed=spec.seed,
+        engine=spec.engine,
+        compiled=spec.compiled,
+        observers=spec.observers,
+    )
     extras: dict[str, object] = {}
     if result.observer_summaries:
         extras["observers"] = result.observer_summaries
@@ -268,18 +295,26 @@ def exact_anchor_value(spec: RunSpec, metric: str) -> float | None:
 
     Returns ``None`` — "no anchor; stop on the half-width rule alone" —
     whenever the analytical value does not exist or does not describe what
-    the empirical runs sample: other metrics, custom runners, non-uniform
-    schedulers, inputs without a unique majority, criteria not almost surely
-    reached, and chains past the exact-analysis caps.
+    the empirical runs sample: other metrics, custom runners, schedulers
+    other than uniform-random (including the agent engine's default
+    random-permutation scheduler), inputs without a unique majority,
+    criteria not almost surely reached, and chains past the exact-analysis
+    caps.
 
     The exact pipeline quotients the chain by the input's color symmetries
     by default, so the configuration cap counts *orbit representatives*:
     symmetric (tied) cells whose raw configuration count exceeds the cap
     can still anchor as long as their quotient fits.
     """
-    if metric not in ("correct", "steps"):
+    if metric not in ("correct", "steps") or spec.runner != "protocol":
         return None
-    if spec.runner != "protocol" or spec.scheduler not in (None, "uniform-random"):
+    engine_cls = ENGINES.get(spec.engine)
+    if spec.scheduler is None:
+        # Only the configuration-level engines sample the uniform chain
+        # implicitly; the agent engine defaults to random-permutation.
+        if engine_cls is None or issubclass(engine_cls, AgentSimulation):
+            return None
+    elif spec.scheduler != UniformRandomScheduler.name:
         return None
     from repro.exact import (
         ChainTooLarge,
@@ -289,23 +324,16 @@ def exact_anchor_value(spec: RunSpec, metric: str) -> float | None:
     )
     from repro.exact.solve import practical_max_transient
 
-    colors = resolve_workload(spec)
-    protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
+    plan = _plan(spec)
     try:
         if metric == "correct":
             return exact_correctness_probability(
-                protocol, colors, max_configurations=EXACT_ANCHOR_MAX_CONFIGURATIONS
+                plan.protocol, plan.colors, max_configurations=EXACT_ANCHOR_MAX_CONFIGURATIONS
             )
-        if spec.criterion is not None:
-            criterion: ConvergenceCriterion = build_criterion(spec.criterion)
-        elif spec.protocol == "circles":
-            criterion = StableCircles()
-        else:
-            criterion = OutputConsensus()
         return exact_expected_convergence(
-            protocol,
-            colors,
-            criterion,
+            plan.protocol,
+            plan.colors,
+            plan.criterion,
             max_configurations=EXACT_ANCHOR_MAX_CONFIGURATIONS,
             max_transient=practical_max_transient(),
         )
@@ -409,8 +437,9 @@ def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
     """Execute a replicate group in lockstep; records match serial execution.
 
     A pure function of the specs, picklable for the multiprocessing
-    executor.  Groups of one, and specs the lockstep driver cannot
-    reproduce, fall back to :func:`execute_run` per spec — callers never
+    executor.  This is also how :func:`execute_run` executes a single
+    eligible spec — as a group of one.  Specs the lockstep path cannot
+    reproduce fall back to :func:`execute_run` per spec, so callers never
     need to pre-check eligibility.
 
     Raises:
@@ -424,7 +453,7 @@ def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
     specs = list(specs)
     if not specs:
         return []
-    if len(specs) == 1 or not all(_replicate_groupable(spec) for spec in specs):
+    if not all(_replicate_groupable(spec) for spec in specs):
         return [execute_run(spec) for spec in specs]
     key = replicate_group_key(specs[0])
     if any(replicate_group_key(spec) != key for spec in specs[1:]):
@@ -441,47 +470,27 @@ def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
             "identical seeds replay identical trajectories instead of "
             "independent replicates"
         )
-    spec = specs[0]
-    colors = resolve_workload(spec)
-    if spec.protocol == "circles" and spec.criterion is None:
-        # Mirrors the run_circles branch of _protocol_runner: StableCircles,
-        # ket-exchange counting, and the energy bookkeeping of Theorem 3.4.
-        num_colors = spec.k
-        protocol: PopulationProtocol = CirclesProtocol(
-            num_colors, variant=spec.protocol_params.get("variant")
+    plan = _plan(specs[0])
+    protocol, num_colors = plan.protocol, plan.protocol.num_colors
+    initial_energy = (
+        configuration_energy(
+            [protocol.initial_state(color) for color in plan.colors], num_colors
         )
-        criterion: ConvergenceCriterion = StableCircles()
-        count_ket = True
-        initial_energy = configuration_energy(
-            (protocol.initial_state(color) for color in colors), num_colors
-        )
-    else:
-        protocol = get_protocol(spec.protocol, spec.k, **dict(spec.protocol_params))
-        num_colors = protocol.num_colors
-        criterion = (
-            build_criterion(spec.criterion)
-            if spec.criterion is not None
-            else OutputConsensus()
-        )
-        count_ket = False
-        initial_energy = None
-    budget = (
-        spec.max_steps
-        if spec.max_steps is not None
-        else default_max_steps(len(colors), num_colors)
+        if plan.circles_metrics
+        else None
     )
     group = VectorReplicateSimulation.replicate_group_from_colors(
         protocol,
-        colors,
+        plan.colors,
         seeds,
-        compiled=spec.compiled,
-        count_ket_exchanges=count_ket,
+        compiled=specs[0].compiled,
+        count_ket_exchanges=plan.circles_metrics,
     )
-    outcomes = group.run(budget, criterion=criterion)
-    majority = _true_majority(colors)
+    outcomes = group.run(plan.budget, criterion=plan.criterion)
+    majority = _true_majority(plan.colors)
     return [
-        _replicate_record(s, outcome, protocol, num_colors, majority, initial_energy)
-        for s, outcome in zip(specs, outcomes)
+        _replicate_record(spec, outcome, protocol, num_colors, majority, initial_energy)
+        for spec, outcome in zip(specs, outcomes)
     ]
 
 
@@ -604,13 +613,14 @@ class SweepRunner:
     ``vectorize=True`` (the default) detects replicate groups — pending runs
     identical up to the run seed, the shape ``trials > 1`` expands to — and
     dispatches each whole group to the vector engine's lockstep driver
-    through the executor's ``map_groups``.  Records are identical to serial
-    execution (see :func:`execute_replicate_group`), so the store, the
-    manifest, and every consumer are oblivious to the routing; a partially
-    cached group simply shrinks to its pending rows.  Executors without a
-    ``map_groups`` method (any pre-existing custom executor) transparently
-    keep the one-spec-at-a-time path.  For chunking purposes a replicate
-    group counts as one unit.
+    through the executor's ``map_groups``.  ``vectorize=False`` sends every
+    spec through ``map`` instead, where an eligible spec runs as a group of
+    one.  A run's record does not depend on the routing (see
+    :func:`execute_replicate_group`), so the store, the manifest, and every
+    consumer are oblivious to it; a partially cached group simply shrinks to
+    its pending rows.  Executors without a ``map_groups`` method (any
+    pre-existing custom executor) transparently keep the one-spec-at-a-time
+    path.  For chunking purposes a replicate group counts as one unit.
     """
 
     def __init__(
@@ -661,17 +671,14 @@ class SweepRunner:
                 extras={"stopping": list(self.last_stopping)},
             )
         specs = sweep.expand()
+        records: list[RunRecord | None] = [None] * len(specs)
         if self.store is None:
             units = self._units(specs, list(range(len(specs))))
-            if all(len(unit) == 1 for unit in units):
-                return SweepResult(spec=sweep, records=self.executor.map(specs))
-            records: list[RunRecord | None] = [None] * len(specs)
             for index, record in self._execute_units(specs, units):
                 records[index] = record
-            return SweepResult(spec=sweep, records=list(records))
-        records = [None] * len(specs)
-        for index, record, _cached in self._iter_with_store(sweep, specs):
-            records[index] = record
+        else:
+            for index, record, _cached in self._iter_with_store(sweep, specs):
+                records[index] = record
         return SweepResult(spec=sweep, records=list(records))
 
     def run_iter(self, sweep: SweepSpec):
@@ -906,9 +913,10 @@ def run_sweep(
 
     ``store=`` enables the content-addressed result cache (runs already in
     the store are served, fresh ones persisted); ``executor=`` picks an
-    executor by registry name or instance; ``vectorize=False`` disables the
-    replicate-group routing through the vector engine (the records are
-    identical either way — the flag exists for A/B timing and debugging).
+    executor by registry name or instance; ``vectorize=False`` runs one
+    replicate group per spec instead of one per group of trials (the records
+    are identical either way — the flag exists for A/B timing and
+    debugging).
     """
     effective = workers if workers is not None else sweep.workers
     return SweepRunner(

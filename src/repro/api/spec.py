@@ -121,8 +121,9 @@ class RunSpec:
     criterion: str | None = None
     max_steps: int | None = None
     #: Named run strategy (see ``repro.api.executor.register_runner``); the
-    #: default resolves the protocol registry and calls ``run_protocol`` /
-    #: ``run_circles``.
+    #: default resolves the protocol registry and runs the spec as a
+    #: replicate group of one, or through the ``run_protocol`` /
+    #: ``run_circles`` engine loop when the lockstep path cannot.
     runner: str = "protocol"
     #: Seed for the engine (and the scheduler, on the agent engine).
     seed: int | None = None

@@ -16,7 +16,7 @@ killed invocation resumes where it stopped.
 Replicate groups (``trials > 1`` on an eligible engine) are routed through
 the vector engine's lockstep driver by default — same records, one
 vectorized pass instead of ``trials`` serial runs.  ``--no-vectorize``
-forces one-spec-at-a-time execution, e.g. for A/B timing.
+runs one group per spec, e.g. for A/B timing.
 
 ``--trials auto`` switches any spec to adaptive sequential sampling
 (:mod:`repro.api.stopping`): each grid cell runs in batches until its

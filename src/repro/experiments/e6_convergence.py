@@ -49,13 +49,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.api.executor import resolve_workload, run_sweep
-from repro.api.spec import SweepSpec, derive_seed
+from repro.api.executor import _plan, run_sweep
+from repro.api.spec import RunSpec, SweepSpec, derive_seed
 from repro.api.stopping import StoppingRule
 from repro.exact import ChainTooLarge, SolveTooLarge, exact_expected_convergence
 from repro.exact.solve import practical_max_transient
 from repro.protocols.registry import get_protocol
-from repro.simulation.convergence import OutputConsensus, StableCircles
 from repro.experiments.harness import (
     EXACT_INFEASIBLE,
     EXACT_NOT_ALMOST_SURE,
@@ -71,24 +70,24 @@ from repro.experiments.harness import (
 EXACT_MAX_CONFIGURATIONS = 4_000
 
 
-def exact_expected_cell(protocol_name: str, k: int, colors: list[int]) -> str:
+def exact_expected_cell(spec: RunSpec) -> str:
     """The exact-column cell for one sweep point, or a sentinel.
 
-    Uses the same stopping criterion the empirical runs measured
-    (:class:`StableCircles` for Circles via ``run_circles``,
-    :class:`OutputConsensus` otherwise) so the column is directly comparable
-    to the empirical mean next to it.  :data:`EXACT_INFEASIBLE` marks cells
-    whose chain or solve exceeds a cap; :data:`EXACT_NOT_ALMOST_SURE` marks
-    cells the analysis *solved* and proved the criterion is not almost
-    surely reached — the two must stay distinguishable.
+    Resolves ``spec`` the way its empirical runs were resolved — the same
+    workload colors and the same stopping criterion (:class:`StableCircles`
+    for Circles, :class:`OutputConsensus` otherwise) — so the column is
+    directly comparable to the empirical mean next to it.
+    :data:`EXACT_INFEASIBLE` marks cells whose chain or solve exceeds a cap;
+    :data:`EXACT_NOT_ALMOST_SURE` marks cells the analysis *solved* and
+    proved the criterion is not almost surely reached — the two must stay
+    distinguishable.
     """
-    protocol = get_protocol(protocol_name, k)
-    criterion = StableCircles() if protocol_name == "circles" else OutputConsensus()
+    plan = _plan(spec)
     try:
         expected = exact_expected_convergence(
-            protocol,
-            colors,
-            criterion,
+            plan.protocol,
+            plan.colors,
+            plan.criterion,
             max_configurations=EXACT_MAX_CONFIGURATIONS,
             max_transient=practical_max_transient(),
         )
@@ -249,8 +248,7 @@ def run(
             if row["n"] <= exact_max_n and point in specs_by_point:
                 # Trials at a sweep point share one workload seed, so this
                 # reproduces the exact colors every empirical trial used.
-                colors = resolve_workload(specs_by_point[point])
-                exact_cell = exact_expected_cell(row["protocol"], row["k"], colors)
+                exact_cell = exact_expected_cell(specs_by_point[point])
             else:
                 exact_cell = EXACT_INFEASIBLE
             stop_entry = stop_by_point.get(point)

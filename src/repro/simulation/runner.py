@@ -7,6 +7,11 @@ holding everything an experiment needs to report: whether the run converged,
 whether the final outputs are correct, how many interactions and ket
 exchanges it took, and the initial/final energies.
 
+Both entry points share one engine loop; ``run_circles`` only adds the
+Circles defaults.  Seeded specs on the lockstep engines execute through
+:mod:`repro.api.executor`'s replicate groups instead, with identical
+records; the tests use this module as their independent reference.
+
 Engine selection
 ----------------
 
@@ -169,12 +174,43 @@ def _true_majority(colors: Sequence[int]) -> int | None:
     return predicted_majority(colors) if has_unique_majority(colors) else None
 
 
-def _resolve_engine(
-    engine: str, scheduler: Scheduler | None, record_trace: bool
-) -> type[SimulationEngine]:
-    """Look up the engine and reject options it cannot honor."""
+def _run_engine(
+    protocol: PopulationProtocol[State],
+    colors: Sequence[int],
+    criterion: ConvergenceCriterion[State],
+    circles_metrics: bool,
+    scheduler: Scheduler | None = None,
+    max_steps: int | None = None,
+    seed: RngLike = None,
+    record_trace: bool = False,
+    check_interval: int | None = None,
+    engine: str = "agent",
+    compiled: bool | None = None,
+    observers: Sequence[Observer | str | tuple] | None = None,
+) -> RunResult:
+    """The engine loop behind :func:`run_protocol` and :func:`run_circles`.
+
+    ``circles_metrics`` adds the quantities of the paper's proof to the
+    result: the ket exchanges (counted by a
+    :class:`~repro.simulation.observers.KetExchangeObserver`) and the
+    initial/final configuration energies of Theorem 3.4.
+    """
+    colors = tuple(colors)
+    _validate_input_colors(colors)
+    num_colors = protocol.num_colors
+    budget = max_steps if max_steps is not None else default_max_steps(len(colors), num_colors)
     engine_cls = get_engine(engine)
-    if not issubclass(engine_cls, AgentSimulation):
+    # compiled=None leaves each engine on its own default: the
+    # configuration-level engines compile transparently, the agent engine
+    # does not (it exists for arbitrary schedulers and per-step
+    # instrumentation).
+    if issubclass(engine_cls, AgentSimulation):
+        trace = Trace() if record_trace else None
+        simulation: SimulationEngine[State] = engine_cls.from_colors(
+            protocol, colors, seed=seed, scheduler=scheduler, trace=trace, compiled=bool(compiled)
+        )
+        scheduler_name = simulation.scheduler.name
+    else:
         if scheduler is not None:
             raise ValueError(
                 f"engine {engine!r} simulates the uniform random scheduler directly; "
@@ -185,43 +221,56 @@ def _resolve_engine(
                 f"engine {engine!r} does not track individual agents; "
                 "pass engine='agent' to record an interaction trace"
             )
-    return engine_cls
-
-
-def _build_simulation(
-    engine_cls: type[SimulationEngine],
-    protocol: PopulationProtocol[State],
-    colors: Sequence[int],
-    scheduler: Scheduler | None,
-    seed: RngLike,
-    record_trace: bool,
-    observers: Sequence[Observer] = (),
-    compiled: bool | None = None,
-) -> tuple[SimulationEngine[State], Trace | None, str]:
-    """Construct the selected engine; returns (simulation, trace, scheduler name).
-
-    ``compiled=None`` leaves each engine on its own default: the
-    configuration-level engines compile transparently, the agent engine does
-    not (it exists for arbitrary schedulers and per-step instrumentation).
-    ``observers`` are attached in order, after construction.
-    """
-    if issubclass(engine_cls, AgentSimulation):
-        trace = Trace() if record_trace else None
-        simulation = engine_cls.from_colors(
-            protocol,
-            colors,
-            seed=seed,
-            scheduler=scheduler,
-            trace=trace,
-            compiled=bool(compiled),
-        )
-        scheduler_name = simulation.scheduler.name
-    else:
         simulation = engine_cls.from_colors(protocol, colors, seed=seed, compiled=compiled)
         trace, scheduler_name = None, "uniform-random"
-    for observer in observers:
+
+    initial_energy: int | None = None
+    exchange_counter: KetExchangeObserver | None = None
+    if circles_metrics:
+        initial_energy = configuration_energy(
+            [protocol.initial_state(color) for color in colors], num_colors
+        )
+        # The analytical engine simulates no interactions, so a ket-exchange
+        # counter would misreport 0; circles runs on it report None instead.
+        if engine_cls.samples_trajectories:
+            exchange_counter = KetExchangeObserver()
+    resolved = _resolve_observers(observers)
+    for observer in [exchange_counter, *resolved] if exchange_counter else resolved:
         simulation.add_observer(observer)
-    return simulation, trace, scheduler_name
+    converged = simulation.run(budget, criterion=criterion, check_interval=check_interval)
+
+    final_states = tuple(simulation.states())
+    outputs = tuple(simulation.outputs())
+    majority = _true_majority(colors)
+    correct = majority is not None and all(output == majority for output in outputs)
+    exact_result = getattr(simulation, "distribution_result", None)
+    if exact_result is not None:
+        # The analytical engine reports distribution-level correctness:
+        # "correct" means the chain stabilizes on the majority output with
+        # probability one, not just in the modal outcome.
+        correct = bool(exact_result.always_correct)
+    return RunResult(
+        protocol_name=protocol.name,
+        num_agents=len(colors),
+        num_colors=num_colors,
+        input_colors=colors,
+        scheduler_name=scheduler_name,
+        converged=converged,
+        steps=simulation.steps_taken,
+        interactions_changed=simulation.interactions_changed,
+        outputs=outputs,
+        majority=majority,
+        correct=correct,
+        final_states=final_states,
+        ket_exchanges=exchange_counter.exchanges if exchange_counter else None,
+        initial_energy=initial_energy,
+        final_energy=configuration_energy(final_states, num_colors) if circles_metrics else None,
+        engine=engine,
+        seed=seed if isinstance(seed, int) else None,
+        observer_summaries={obs.name: obs.summary() for obs in resolved},
+        exact=exact_result.to_dict() if exact_result is not None else None,
+        trace=trace,
+    )
 
 
 def run_protocol(
@@ -270,48 +319,19 @@ def run_protocol(
         A :class:`RunResult`; ``correct`` is True when the input has a unique
         majority and every agent outputs it.
     """
-    colors = tuple(colors)
-    _validate_input_colors(colors)
-    engine_cls = _resolve_engine(engine, scheduler, record_trace)
-    if criterion is None:
-        criterion = OutputConsensus()
-    budget = max_steps if max_steps is not None else default_max_steps(
-        len(colors), protocol.num_colors
-    )
-
-    resolved = _resolve_observers(observers)
-    simulation, trace, scheduler_name = _build_simulation(
-        engine_cls, protocol, colors, scheduler, seed, record_trace,
-        observers=resolved, compiled=compiled,
-    )
-    converged = simulation.run(budget, criterion=criterion, check_interval=check_interval)
-    outputs = tuple(simulation.outputs())
-    majority = _true_majority(colors)
-    correct = majority is not None and all(output == majority for output in outputs)
-    exact_result = getattr(simulation, "distribution_result", None)
-    if exact_result is not None:
-        # The analytical engine reports distribution-level correctness:
-        # "correct" means the chain stabilizes on the majority output with
-        # probability one, not just in the modal outcome.
-        correct = bool(exact_result.always_correct)
-    return RunResult(
-        protocol_name=protocol.name,
-        num_agents=len(colors),
-        num_colors=protocol.num_colors,
-        input_colors=colors,
-        scheduler_name=scheduler_name,
-        converged=converged,
-        steps=simulation.steps_taken,
-        interactions_changed=simulation.interactions_changed,
-        outputs=outputs,
-        majority=majority,
-        correct=correct,
-        final_states=tuple(simulation.states()),
+    return _run_engine(
+        protocol,
+        colors,
+        criterion if criterion is not None else OutputConsensus(),
+        circles_metrics=False,
+        scheduler=scheduler,
+        max_steps=max_steps,
+        seed=seed,
+        record_trace=record_trace,
+        check_interval=check_interval,
         engine=engine,
-        seed=seed if isinstance(seed, int) else None,
-        observer_summaries={obs.name: obs.summary() for obs in resolved},
-        exact=exact_result.to_dict() if exact_result is not None else None,
-        trace=trace,
+        compiled=compiled,
+        observers=observers,
     )
 
 
@@ -330,8 +350,9 @@ def run_circles(
 ) -> RunResult:
     """Run the Circles protocol on an input color assignment.
 
-    Uses the Circles-specific :class:`StableCircles` stopping criterion and
-    additionally reports the number of ket exchanges (counted by a
+    :func:`run_protocol` with the Circles defaults: the Circles-specific
+    :class:`StableCircles` stopping criterion, plus the number of ket
+    exchanges (counted by a
     :class:`~repro.simulation.observers.KetExchangeObserver`, exact on every
     engine) and the initial/final configuration energies.
 
@@ -345,60 +366,18 @@ def run_circles(
             observers: as in :func:`run_protocol`.
     """
     colors = tuple(colors)
-    _validate_input_colors(colors)
-    engine_cls = _resolve_engine(engine, scheduler, record_trace)
-    k = num_colors if num_colors is not None else max(colors) + 1
-    protocol = CirclesProtocol(k, variant=variant)
-    budget = max_steps if max_steps is not None else default_max_steps(len(colors), k)
-    criterion = StableCircles()
-
-    initial_states = [protocol.initial_state(color) for color in colors]
-    initial_energy = configuration_energy(initial_states, k)
-
-    # The analytical engine simulates no interactions, so a ket-exchange
-    # counter would misreport 0; circles runs on it report None instead.
-    exchange_counter = (
-        KetExchangeObserver() if engine_cls.samples_trajectories else None
-    )
-    resolved = _resolve_observers(observers)
-    simulation, trace, scheduler_name = _build_simulation(
-        engine_cls,
-        protocol,
+    k = num_colors if num_colors is not None else max(colors, default=0) + 1
+    return _run_engine(
+        CirclesProtocol(k, variant=variant),
         colors,
-        scheduler,
-        seed,
-        record_trace,
-        observers=[exchange_counter, *resolved] if exchange_counter else resolved,
-        compiled=compiled,
-    )
-    converged = simulation.run(budget, criterion=criterion, check_interval=check_interval)
-
-    final_states = tuple(simulation.states())
-    outputs = tuple(simulation.outputs())
-    majority = _true_majority(colors)
-    correct = majority is not None and all(output == majority for output in outputs)
-    exact_result = getattr(simulation, "distribution_result", None)
-    if exact_result is not None:
-        correct = bool(exact_result.always_correct)
-    return RunResult(
-        protocol_name=protocol.name,
-        num_agents=len(colors),
-        num_colors=k,
-        input_colors=colors,
-        scheduler_name=scheduler_name,
-        converged=converged,
-        steps=simulation.steps_taken,
-        interactions_changed=simulation.interactions_changed,
-        outputs=outputs,
-        majority=majority,
-        correct=correct,
-        final_states=final_states,
-        ket_exchanges=exchange_counter.exchanges if exchange_counter else None,
-        initial_energy=initial_energy,
-        final_energy=configuration_energy(final_states, k),
+        StableCircles(),
+        circles_metrics=True,
+        scheduler=scheduler,
+        max_steps=max_steps,
+        seed=seed,
+        record_trace=record_trace,
+        check_interval=check_interval,
         engine=engine,
-        seed=seed if isinstance(seed, int) else None,
-        observer_summaries={obs.name: obs.summary() for obs in resolved},
-        exact=exact_result.to_dict() if exact_result is not None else None,
-        trace=trace,
+        compiled=compiled,
+        observers=observers,
     )

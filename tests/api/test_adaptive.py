@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api.executor import SweepRunner, exact_anchor_value, run_sweep
+from repro.api.executor import SweepRunner, exact_anchor_value, execute_run, run_sweep
 from repro.api.records import SweepResult
 from repro.api.spec import RunSpec, SweepSpec
 from repro.api.stopping import STOP_REASONS, StopDecision, StoppingRule
@@ -254,7 +254,7 @@ class TestExactAnchor:
         assert entry["trials"] == 2
 
     def test_anchor_value_gates(self):
-        spec = RunSpec(protocol="circles", n=6, k=2, seed=1, workload_seed=3)
+        spec = RunSpec(protocol="circles", n=6, k=2, engine="batch", seed=1, workload_seed=3)
         probability = exact_anchor_value(spec, "correct")
         assert probability is not None and 0.0 <= probability <= 1.0
         # Metrics without an analytical counterpart never anchor.
@@ -266,6 +266,18 @@ class TestExactAnchor:
         assert exact_anchor_value(scheduled, "correct") is None
 
     def test_anchor_expected_steps(self):
-        spec = RunSpec(protocol="circles", n=5, k=2, seed=1, workload_seed=3)
+        spec = RunSpec(protocol="circles", n=5, k=2, engine="batch", seed=1, workload_seed=3)
         expected = exact_anchor_value(spec, "steps")
         assert expected is not None and expected > 0.0
+
+    def test_agent_engine_anchors_only_under_the_uniform_scheduler(self):
+        """The exact chain is the uniform-random scheduler's; the agent
+        engine's default scheduler is random-permutation, whose runs take
+        fewer interactions (about 14.9 against the chain's 20.5 at this cell)."""
+        batch = RunSpec(protocol="circles", n=5, k=2, engine="batch", seed=1, workload_seed=3)
+        agent = dataclasses.replace(batch, engine="agent")
+        assert execute_run(agent).scheduler_name == "random-permutation"
+        for metric in ("steps", "correct"):
+            assert exact_anchor_value(agent, metric) is None
+            uniform = dataclasses.replace(agent, scheduler="uniform-random")
+            assert exact_anchor_value(uniform, metric) == exact_anchor_value(batch, metric)
