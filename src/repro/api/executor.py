@@ -41,7 +41,7 @@ from repro.api import aggregate as _aggregate
 from repro.api.records import RunRecord, SweepResult
 from repro.api.spec import RunSpec, SweepCell, SweepSpec, canonical_json, derive_seed
 from repro.api.stopping import StopDecision, StoppingRule
-from repro.core.potential import configuration_energy, state_weights
+from repro.core.potential import state_weights
 from repro.protocols.base import PopulationProtocol
 from repro.protocols.registry import get_protocol
 from repro.scheduling.adversarial import GreedyStallScheduler, IsolationScheduler
@@ -49,6 +49,7 @@ from repro.scheduling.base import Scheduler
 from repro.scheduling.permutation import RandomPermutationScheduler
 from repro.scheduling.random_uniform import UniformRandomScheduler
 from repro.scheduling.round_robin import RoundRobinScheduler
+from repro.simulation.base import initial_configuration
 from repro.simulation.convergence import (
     ConvergenceCriterion,
     OutputConsensus,
@@ -384,7 +385,7 @@ def _replicate_groupable(spec: RunSpec) -> bool:
 
 
 def _configuration_energy_counts(configuration, num_colors: int) -> int:
-    """``configuration_energy`` of a final configuration, ``O(d)`` not ``O(n)``."""
+    """``configuration_energy`` of a configuration, ``O(d)`` not ``O(n)``."""
     states = list(configuration.support())
     weights = state_weights(states, num_colors)
     return sum(configuration[state] * weight for state, weight in zip(states, weights))
@@ -472,16 +473,13 @@ def execute_replicate_group(specs: Sequence[RunSpec]) -> list[RunRecord]:
         )
     plan = _plan(specs[0])
     protocol, num_colors = plan.protocol, plan.protocol.num_colors
+    initial = initial_configuration(protocol, plan.colors)
     initial_energy = (
-        configuration_energy(
-            [protocol.initial_state(color) for color in plan.colors], num_colors
-        )
-        if plan.circles_metrics
-        else None
+        _configuration_energy_counts(initial, num_colors) if plan.circles_metrics else None
     )
-    group = VectorReplicateSimulation.replicate_group_from_colors(
+    group = VectorReplicateSimulation.replicate_group(
         protocol,
-        plan.colors,
+        initial,
         seeds,
         compiled=specs[0].compiled,
         count_ket_exchanges=plan.circles_metrics,

@@ -18,7 +18,7 @@ color-facing entry point is :func:`compile_protocol`.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from typing import Generic, TypeVar
 from weakref import WeakKeyDictionary
 
@@ -27,6 +27,7 @@ from repro.protocols.base import PopulationProtocol, TransitionResult
 from repro.utils.multiset import Multiset
 
 State = TypeVar("State", bound=Hashable)
+T = TypeVar("T")
 
 #: Default cap on the compiled state-space size.  The table is dense (``d²``
 #: packed entries), so the cap bounds table memory (~8 MiB at the default);
@@ -60,6 +61,7 @@ class CompiledProtocol(Generic[State]):
         "changed",
         "outputs",
         "_numpy_tables",
+        "_derived",
     )
 
     def __init__(
@@ -100,6 +102,7 @@ class CompiledProtocol(Generic[State]):
         self.table = array("l", packed)
         self.changed = bytes(changed)
         self._numpy_tables: tuple | None = None
+        self._derived: dict[Callable, object] = {}
 
     # -- encoding ------------------------------------------------------------
 
@@ -170,6 +173,19 @@ class CompiledProtocol(Generic[State]):
                     numpy.array(self.outputs, dtype=numpy.int64),
                 )
         return self._numpy_tables or None
+
+    def derived(self, build: Callable[["CompiledProtocol[State]"], T]) -> T:
+        """``build(self)``, computed on first use and cached with these tables.
+
+        For lookup tables a hot path derives from the compiled maps (a
+        criterion's per-state tables, say): the compile cache shares one
+        compiled protocol across runs, so the derivation is paid once per
+        process rather than once per check.
+        """
+        cache = self._derived
+        if build not in cache:
+            cache[build] = build(self)
+        return cache[build]
 
     def describe(self) -> dict[str, object]:
         """Metadata for reports: closure size vs. the declared state count."""

@@ -28,6 +28,8 @@ holds what they share:
   periodic ``O(d²)`` rescan.
 * :func:`default_check_interval` — the single default policy for how often
   convergence is checked.
+* :func:`initial_configuration` — the initial multiset of an input coloring,
+  built from color counts.
 
 Engine *selection* (the ``"agent"`` / ``"configuration"`` / ``"batch"``
 registry) lives in :mod:`repro.simulation.registry`.
@@ -36,6 +38,7 @@ registry) lives in :mod:`repro.simulation.registry`.
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from collections.abc import Callable, Hashable, Iterable
 from typing import ClassVar, Generic, TypeVar
 
@@ -76,6 +79,23 @@ def default_check_interval(num_agents: int) -> int:
     gain in soundness, so all engines now share this single helper.
     """
     return max(1, num_agents)
+
+
+def initial_configuration(
+    protocol: PopulationProtocol[State], colors: Iterable[int]
+) -> Multiset[State]:
+    """The initial configuration of an input coloring, from its color counts.
+
+    One ``initial_state`` call per *distinct* color instead of one per agent.
+    Counts accumulate, because input maps need not be injective (leader
+    election maps every color to one state), and the support keeps the
+    first-occurrence order a per-agent construction would give it.  An
+    invalid color raises the same ``ValueError`` as ``initial_state``.
+    """
+    configuration: Multiset[State] = Multiset()
+    for color, count in Counter(colors).items():
+        configuration.add(protocol.initial_state(color), count)
+    return configuration
 
 
 class SimulationEngine(abc.ABC, Generic[State]):
@@ -338,7 +358,7 @@ class ConfigurationEngine(SimulationEngine[State]):
         """Create the initial configuration from input colors."""
         return cls(
             protocol,
-            (protocol.initial_state(color) for color in colors),
+            initial_configuration(protocol, colors),
             seed,
             transition_observer=transition_observer,
             compiled=compiled,

@@ -20,15 +20,21 @@ simulators of Berenbrink et al.:
   (:mod:`repro.simulation.vector_engine`) reproduce batch runs bit-for-bit
   row by row.  The count vector is kept in sync per round from the kernel's
   corrected pair codes.
-- Without numpy (or uncompiled, or at small ``n``), the engine falls back to
-  *bursts* in the spirit of Gillespie-style aggregation: interactions over
-  pairwise-distinct agents commute, the number of interactions until an
-  agent is re-drawn depends only on agent identities, so a maximal
-  collision-free burst is sampled directly from the birthday-process
-  distribution (``Θ(√n)`` interactions), its agents popped from a flat pool
-  in ``O(1)`` and applied per ordered pair type, and the burst-ending
-  collision interaction is applied exactly — matching the conditional
-  distribution of the sequential process.
+- Below ``NUMPY_BURST_THRESHOLD`` (and at any size without numpy, or
+  uncompiled), the engine runs *bursts* in the spirit of Gillespie-style
+  aggregation: interactions over pairwise-distinct agents commute, the
+  number of interactions until an agent is re-drawn depends only on agent
+  identities, so a maximal collision-free burst is sampled directly from
+  the birthday-process distribution (``Θ(√n)`` interactions), its agents
+  popped from a flat pool in ``O(1)`` and applied per ordered pair type,
+  and the burst-ending collision interaction is applied exactly — matching
+  the conditional distribution of the sequential process.  This is the
+  path of every to-convergence run at ``n < 4096``.  On a compiled
+  protocol the pool holds state codes and one loop runs all bursts of a
+  check window on packed pair codes (:meth:`_run_pool_codes`); the
+  uncompiled pool holds states and dispatches through ``transition``.
+- Below ``SEQUENTIAL_FALLBACK_THRESHOLD`` agents, interactions are sampled
+  one at a time from the pool.
 
 The induced Markov chain over configurations is *identical* to
 :class:`ConfigurationSimulation`'s (and to the agent engine's under the
@@ -236,6 +242,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
         """
         if self._kernel is not None:
             return self._run_round_kernel(max_interactions)
+        if self._compiled is not None:
+            return self._run_pool_codes(max_interactions, one_burst=True)
         return self._run_burst_pool(max_interactions)
 
     def _run_round_kernel(self, max_interactions: int | None) -> int:
@@ -296,7 +304,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
                 self._record_changed_codes(p, q, a, b, count)
 
     def _run_burst_pool(self, max_interactions: int | None) -> int:
-        """The pool burst: O(1) random pops, pair-type aggregation, bulk apply."""
+        """The uncompiled pool burst: O(1) random pops, pair-type aggregation,
+        bulk apply (compiled engines run :meth:`_run_pool_codes` instead)."""
         cap = self._num_agents if max_interactions is None else max_interactions
         if cap <= 0:
             return 0
@@ -344,6 +353,71 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             executed += self._collision_step_pool(touched, collision)
         self._pool.extend(touched)
         self.steps_taken += executed
+        return executed
+
+    def _run_pool_codes(self, max_interactions: int | None, one_burst: bool = False) -> int:
+        """Compiled pool bursts on int pair codes until the budget is spent.
+
+        The compiled counterpart of :meth:`_run_burst_pool`, with every
+        burst of a check window in one loop: pairs are packed ``p·d + q``
+        codes, counted per pair type in first-draw order and resolved
+        through the flat ``table``/``changed`` maps.  It draws the same
+        ``random()`` values in the same order as one :meth:`_run_burst_pool`
+        call per burst and leaves the pool in the same order; changed pair
+        types are booked through :meth:`_book_changed_codes`.  With
+        ``one_burst`` it stops after the first burst (the :meth:`run_burst`
+        contract).
+        """
+        budget = self._num_agents if max_interactions is None else max_interactions
+        compiled = self._compiled
+        table, changed, d = compiled.table, compiled.changed, compiled.num_states
+        book = self._book_changed_codes
+        sample = self._sample_burst_length
+        pool = self._pool
+        pop = pool.pop
+        rng_random = self._rng.random
+        executed = 0
+        while executed < budget:
+            length, collision = sample(budget - executed)
+            # Draw the fresh agents without replacement (inlined swap-remove
+            # pops; this loop is the per-interaction cost).
+            pair_counts: dict[int, int] = {}
+            size = len(pool)
+            for _ in range(length):
+                index = int(rng_random() * size)
+                size -= 1
+                last = pop()
+                if index < size:
+                    initiator = pool[index]
+                    pool[index] = last
+                else:
+                    initiator = last
+                index = int(rng_random() * size)
+                size -= 1
+                last = pop()
+                if index < size:
+                    responder = pool[index]
+                    pool[index] = last
+                else:
+                    responder = last
+                code = initiator * d + responder
+                pair_counts[code] = pair_counts.get(code, 0) + 1
+            #: Current states of the agents touched by this burst.
+            touched: list[int] = []
+            for code, count in pair_counts.items():
+                a, b = divmod(table[code], d)
+                if changed[code]:
+                    book(code // d, code % d, a, b, count)
+                touched += [a] * count
+                touched += [b] * count
+            burst = length
+            if collision is not None:
+                burst += self._collision_step_pool(touched, collision)
+            pool += touched
+            self.steps_taken += burst
+            executed += burst
+            if one_burst:
+                break
         return executed
 
     def _collision_step_pool(self, touched: list, collision: tuple[bool, bool]) -> int:
@@ -413,6 +487,8 @@ class BatchConfigurationSimulation(ConfigurationEngine[State], Generic[State]):
             for _ in range(max_interactions):
                 self._sequential_step()
             return max_interactions
+        if self._kernel is None and self._compiled is not None:
+            return self._run_pool_codes(max_interactions)
         return self.run_burst(max_interactions)
 
     # -- inspection -------------------------------------------------------------------

@@ -26,7 +26,8 @@ when to stop.  Three criteria are provided:
   (Theorem 3.7's conclusion).  Unlike silence, Circles configurations can be
   stable while output-copying interactions still formally "change" the state
   of out-of-date agents, so this criterion converges earlier than silence
-  while still being permanent.
+  while still being permanent.  On compiled engines it is checked in one
+  pass over the count vector against an exchange-partner bitmask.
 
 Criteria may additionally implement :meth:`ConvergenceCriterion.is_converged_counts`,
 a count-level fast path evaluated directly on a compiled engine's count
@@ -41,7 +42,7 @@ from collections.abc import Hashable, Sequence
 from typing import Generic, TypeVar
 
 from repro.core.circles import CirclesProtocol
-from repro.core.invariants import diagonal_colors, is_stable_configuration, outputs_agree
+from repro.core.invariants import diagonal_colors, is_stable_configuration
 from repro.core.state import CirclesState
 from repro.protocols.base import PopulationProtocol
 from repro.utils.multiset import Multiset
@@ -186,6 +187,15 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
     (Theorem 3.4 stability), and (2) every agent outputs the same color, which
     is the color of a present diagonal bra-ket (the configuration Theorem 3.7
     proves is reached and never left).
+
+    Only the set of present states matters.  On a compiled engine the check
+    is one pass over the count vector, ``O(1)`` per present state, against
+    three tables derived once per compiled protocol
+    (:func:`_stable_circles_tables`): each state's exchange partners as a
+    bitmask, its output and its diagonal color.  The
+    configuration-level check (uncompiled engines, the exact engine) decodes
+    the support and evaluates ``should_exchange`` pair by pair; it is the
+    reference the count-level check must agree with.
     """
 
     name = "stable-circles"
@@ -193,16 +203,7 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
     def is_converged(
         self, protocol: PopulationProtocol[CirclesState], states: Sequence[CirclesState]
     ) -> bool:
-        if not isinstance(protocol, CirclesProtocol):
-            raise TypeError("StableCircles only applies to CirclesProtocol runs")
-        if not states:
-            return False
-        if not is_stable_configuration(protocol, states):
-            return False
-        agreed = outputs_agree(states)
-        if agreed is None:
-            return False
-        return agreed in diagonal_colors(states)
+        return self._is_converged_support(protocol, list(dict.fromkeys(states)))
 
     def is_converged_configuration(
         self, protocol: PopulationProtocol[CirclesState], configuration: Multiset[CirclesState]
@@ -211,17 +212,29 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
 
     def is_converged_counts(
         self, protocol: PopulationProtocol[CirclesState], compiled, counts
-    ) -> bool | None:
-        decode = compiled.decode
-        support = [decode(code) for code, count in enumerate(counts) if count]
-        return self._is_converged_support(protocol, support)
+    ) -> bool:
+        _require_circles(protocol)
+        partners, outputs, diagonals = compiled.derived(_stable_circles_tables)
+        support = [code for code, count in enumerate(counts) if count]
+        if not support:
+            return False
+        agreed = outputs[support[0]]
+        present = 0
+        diagonal = False
+        for code in support:
+            if outputs[code] != agreed:
+                return False
+            present |= 1 << code
+            diagonal = diagonal or diagonals[code] == agreed
+        if not diagonal:
+            return False
+        return not any(partners[code] & present for code in support)
 
     def _is_converged_support(
         self, protocol: PopulationProtocol[CirclesState], support: list[CirclesState]
     ) -> bool:
         """The criterion on the set of present states (counts are irrelevant)."""
-        if not isinstance(protocol, CirclesProtocol):
-            raise TypeError("StableCircles only applies to CirclesProtocol runs")
+        _require_circles(protocol)
         if not support:
             return False
         if not is_stable_configuration(protocol, support):
@@ -230,6 +243,36 @@ class StableCircles(ConvergenceCriterion[CirclesState]):
         if len(outputs) != 1:
             return False
         return next(iter(outputs)) in diagonal_colors(support)
+
+
+def _require_circles(protocol: PopulationProtocol) -> None:
+    if not isinstance(protocol, CirclesProtocol):
+        raise TypeError("StableCircles only applies to CirclesProtocol runs")
+
+
+def _stable_circles_tables(compiled) -> tuple[tuple[int, ...], ...]:
+    """Per-state tables of :meth:`StableCircles.is_converged_counts`.
+
+    Returns ``(partners, outputs, diagonals)`` indexed by state code:
+
+    * ``partners[p]`` — bitmask over codes; bit ``q`` is set iff the
+      bra-kets of ``p`` and ``q`` would exchange kets.  It is
+      ``should_exchange`` on the pair in sorted order, as
+      :func:`~repro.core.invariants.is_stable_configuration` evaluates it,
+      so the protocol variant's exchange rule carries over;
+    * ``outputs[p]`` — the state's stored output color;
+    * ``diagonals[p]`` — the bra color of a diagonal bra-ket, else -1.
+    """
+    should_exchange = compiled.protocol.should_exchange
+    brakets = [state.braket for state in compiled.states]
+    partners = [0] * len(brakets)
+    for p, first in enumerate(brakets):
+        for q, second in enumerate(brakets):
+            if should_exchange(min(first, second), max(first, second)):
+                partners[p] |= 1 << q
+    outputs = tuple(state.out for state in compiled.states)
+    diagonals = tuple(braket.bra if braket.is_diagonal() else -1 for braket in brakets)
+    return tuple(partners), outputs, diagonals
 
 
 class ActivePairTracker:

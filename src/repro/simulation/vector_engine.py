@@ -41,7 +41,11 @@ from collections.abc import Hashable, Iterable, Sequence
 from typing import Generic, TypeVar
 
 from repro.protocols.base import PopulationProtocol
-from repro.simulation.base import SimulationEngine, default_check_interval
+from repro.simulation.base import (
+    SimulationEngine,
+    default_check_interval,
+    initial_configuration,
+)
 from repro.simulation.batch_engine import BatchConfigurationSimulation
 from repro.simulation.convergence import (
     ConvergenceCriterion,
@@ -118,7 +122,7 @@ class VectorReplicateSimulation(BatchConfigurationSimulation[State], Generic[Sta
         """Like :meth:`replicate_group`, starting from input colors."""
         return cls.replicate_group(
             protocol,
-            (protocol.initial_state(color) for color in colors),
+            initial_configuration(protocol, colors),
             seeds,
             compiled=compiled,
             count_ket_exchanges=count_ket_exchanges,

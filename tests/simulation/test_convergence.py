@@ -1,8 +1,12 @@
 """Tests for the convergence criteria."""
 
+import itertools
+import random
+
 import pytest
 
-from repro.core.circles import CirclesProtocol
+from repro.compile import compile_from_states, compile_protocol
+from repro.core.circles import CirclesProtocol, CirclesVariant, ExchangeRule, OutputRule
 from repro.core.state import CirclesState
 from repro.protocols.exact_majority import ExactMajorityProtocol, MajorityState
 from repro.simulation.convergence import OutputConsensus, SilentConfiguration, StableCircles
@@ -169,3 +173,87 @@ class TestCriterionEdgeCases:
         protocol = CirclesProtocol(2)
         assert not StableCircles().is_converged(protocol, [])
         assert not StableCircles().is_converged_configuration(protocol, Multiset())
+
+
+_VARIANTS = [
+    CirclesVariant(exchange_rule, output_rule)
+    for exchange_rule, output_rule in itertools.product(ExchangeRule, OutputRule)
+]
+
+
+class TestStableCirclesOnCounts:
+    """The pair-mask check equals the configuration-level reference.
+
+    ``_is_converged_support`` decodes the support and evaluates
+    ``should_exchange`` pair by pair; the count-level check answers from
+    tables derived once per compiled protocol, so the two must agree on
+    every count vector, for every exchange and output rule.
+    """
+
+    @staticmethod
+    def _agrees(protocol, compiled, counts) -> bool:
+        support = [compiled.decode(code) for code, count in enumerate(counts) if count]
+        expected = StableCircles()._is_converged_support(protocol, support)
+        assert StableCircles().is_converged_counts(protocol, compiled, counts) is expected
+        return expected
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("variant", _VARIANTS, ids=repr)
+    def test_random_count_vectors(self, k, variant):
+        protocol = CirclesProtocol(k, variant)
+        # Every triple, so the vectors reach bra-kets a run may never visit.
+        compiled = compile_from_states(protocol, list(protocol.states()))
+        d = compiled.num_states
+        rng = random.Random(k * 31 + _VARIANTS.index(variant))
+        verdicts = set()
+        assert not self._agrees(protocol, compiled, [0] * d)
+        for code in range(d):
+            single = [0] * d
+            single[code] = rng.randint(1, 3)
+            verdicts.add(self._agrees(protocol, compiled, single))
+        for _ in range(400):
+            # Mostly agreeing outputs plus a diagonal of that color, so the
+            # verdict usually turns on the exchange partners.
+            agreed = rng.randrange(k)
+            brakets = [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.8:
+                brakets.append((agreed, agreed))
+            counts = [0] * d
+            for bra, ket in brakets:
+                out = agreed if rng.random() < 0.9 else rng.randrange(k)
+                counts[compiled.encode(CirclesState(bra, ket, out))] += rng.randint(1, 3)
+            verdicts.add(self._agrees(protocol, compiled, counts))
+        for _ in range(100):
+            counts = [0] * d
+            for code in rng.sample(range(d), rng.randint(1, min(d, 6))):
+                counts[code] = rng.randint(1, 4)
+            verdicts.add(self._agrees(protocol, compiled, counts))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("variant", _VARIANTS, ids=repr)
+    def test_configurations_reached_from_inputs(self, k, variant):
+        """Supports of the reachable closure, including tied inputs."""
+        protocol = CirclesProtocol(k, variant)
+        compiled = compile_protocol(protocol)
+        d = compiled.num_states
+        rng = random.Random(k)
+        for _ in range(100):
+            counts = [rng.choice((0, 0, 1, 2)) for _ in range(d)]
+            self._agrees(protocol, compiled, counts)
+
+    def test_tied_input_without_a_diagonal_never_converges(self):
+        # Colors (0, 1) exchange into ⟨0|1⟩, ⟨1|0⟩: stable, no diagonal left.
+        protocol = CirclesProtocol(2)
+        states = [CirclesState(0, 1, 0), CirclesState(1, 0, 0)]
+        compiled = compile_from_states(protocol, states)
+        counts = [0] * compiled.num_states
+        for state in states:
+            counts[compiled.encode(state)] += 1
+        assert not self._agrees(protocol, compiled, counts)
+
+    def test_requires_circles_protocol(self):
+        protocol = ExactMajorityProtocol()
+        compiled = compile_protocol(protocol)
+        with pytest.raises(TypeError):
+            StableCircles().is_converged_counts(protocol, compiled, [1] * compiled.num_states)
